@@ -237,7 +237,7 @@ class BackendSpec:
     """Picklable recipe a backend pool and its session are built from.
 
     Crossing the pool boundary only as this value type keeps the
-    process executor's zero-copy contract: workers rebuild identical
+    process executor's pickle mode cheap: workers rebuild identical
     backends (same seeds, same noise, same policy) from a few bytes.
     """
 

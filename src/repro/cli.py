@@ -384,9 +384,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except KeyboardInterrupt:
-        # Shared-memory segments are unlinked by the engine's cleanup
-        # handlers as the interrupt unwinds; exit on the shell
-        # convention for SIGINT (128 + 2).
+        # The engine's cleanup handlers discard fork-inherited worker
+        # state as the interrupt unwinds; exit on the shell convention
+        # for SIGINT (128 + 2).
         sys.stderr.write("interrupted\n")
         return 130
 

@@ -21,15 +21,12 @@ Structure
   :class:`AutoExecutor` -- the default behind ``--workers auto`` -- which
   probes the first unmemoized shard and picks serial/thread/process per
   campaign from the measured cost.
-* Process workers get their state zero-copy (:mod:`repro.core.shm`):
-  under the ``fork`` start method they inherit the parent runner --
-  modules, stacked dies, analyzer caches, and memoized measurements --
-  via a fork-state token; elsewhere the parent publishes each die's
-  fused cell stack into a shared-memory segment and workers attach
-  read-only views through a picklable handle, with the role-weight
-  tables precomputed parent-side.  Only when a runner supports neither
-  does the executor fall back to the legacy rebuild-from-profile spec.
-  Cell arrays never cross the pool boundary in any mode.
+* Process workers get their state one of two ways, chosen by the
+  platform: under the ``fork`` start method they inherit the parent
+  runner -- modules, stacked dies, analyzer caches, and memoized
+  measurements -- via a fork-state token; elsewhere a small picklable
+  spec crosses the pool and workers rebuild their modules from the
+  profile keys.  Cell arrays never cross the pool boundary in either.
 * Shard granularity is adaptive on the fast path: shards whose every
   unit is already memoized run inline in the parent (trivial shards
   coalesce to zero pool traffic), partially memoized shards dispatch
@@ -67,8 +64,10 @@ note in :attr:`SweepEngine.last_report`) instead of aborting.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
+import multiprocessing
 import os
 import time
 import warnings as _warnings
@@ -83,21 +82,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.acmin import (
-    DieAnalysis,
-    DieSweepAnalyzer,
-    build_role_weight_table,
-    pattern_footprint,
-)
-from repro.core.shm import (
-    SharedDieStore,
-    StackedDieHandle,
-    attached_stacked,
-    discard_fork_state,
-    fork_sharing_available,
-    fork_state,
-    install_fork_state,
-)
+from repro.core.acmin import DieAnalysis, DieSweepAnalyzer, pattern_footprint
 from repro.core.checkpoint import CheckpointJournal, plan_fingerprint
 from repro.core.experiment import CharacterizationConfig
 from repro.core.faults import (
@@ -130,7 +115,11 @@ __all__ = [
     "SweepPlan",
     "CharacterizationWorkerSpec",
     "ForkWorkerSpec",
-    "ShmCharacterizationSpec",
+    "fork_sharing_available",
+    "install_fork_state",
+    "fork_state",
+    "discard_fork_state",
+    "live_fork_tokens",
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
@@ -312,13 +301,62 @@ class CharacterizationWorkerSpec:
         )
 
 
+# ------------------------------------------------------ fork-state registry
+
+_FORK_TOKENS = itertools.count(1)
+_FORK_STATE: Dict[int, object] = {}
+
+
+def fork_sharing_available() -> bool:
+    """Whether pool workers inherit this process's memory (fork start)."""
+    try:
+        return multiprocessing.get_start_method() == "fork"
+    except Exception:  # pragma: no cover - exotic platforms
+        return False
+
+
+def install_fork_state(payload: object) -> int:
+    """Register a payload for fork-inherited pickup; returns its token.
+
+    Must be called *before* the pool is created: workers snapshot the
+    registry when they fork.  Pair with :func:`discard_fork_state` in a
+    ``finally`` so the parent-side registry does not pin the payload
+    beyond the campaign.
+    """
+    token = next(_FORK_TOKENS)
+    _FORK_STATE[token] = payload
+    return token
+
+
+def fork_state(token: int) -> object:
+    """Look up a fork-inherited payload inside a worker."""
+    try:
+        return _FORK_STATE[token]
+    except KeyError:
+        raise ExperimentError(
+            f"fork-inherited worker state {token} is not present in this "
+            f"process; the pool was started with a non-fork start method "
+            f"or the state was discarded before the worker forked"
+        ) from None
+
+
+def discard_fork_state(token: int) -> None:
+    """Drop a payload from the parent-side registry (idempotent)."""
+    _FORK_STATE.pop(token, None)
+
+
+def live_fork_tokens() -> Tuple[int, ...]:
+    """Tokens still registered in this process (the leak check's view)."""
+    return tuple(sorted(_FORK_STATE))
+
+
 @dataclass(frozen=True)
 class ForkWorkerSpec:
     """Fork-inherited worker state: only a registry token crosses the pool.
 
     The parent installs its live runner (module objects, stacked dies,
     analyzer caches, memoized measurements -- everything) in the
-    fork-state registry (:mod:`repro.core.shm`) before creating the
+    fork-state registry (:func:`install_fork_state`) before creating the
     pool; forked workers read the very same objects back copy-on-write.
     Nothing is rebuilt and nothing but this spec is pickled, which is
     why the fork path has no "profiled modules only" restriction.
@@ -337,66 +375,6 @@ class ForkWorkerSpec:
 
     def build_runner(self):
         return fork_state(self.token)
-
-
-@dataclass(frozen=True)
-class _SharedModuleState:
-    """What a shared-memory worker needs of a module: key and model.
-
-    The cell arrays live in shared memory and the stacked dies are
-    attached by handle, so workers never call ``module.chip``; the
-    model (a few scalars) rides along in the spec.
-    """
-
-    key: str
-    model: object
-
-
-@dataclass(frozen=True)
-class ShmCharacterizationSpec:
-    """Shared-memory worker recipe: attach, don't rebuild.
-
-    Carries per-die segment handles (name + layout manifest), the
-    per-module disturbance models (hundreds of bytes each), and the
-    parent-precomputed role-weight tables.  Workers reassemble read-only
-    :class:`~repro.core.stacked.StackedDie` views over the parent's
-    segments -- no calibration solver, no cell-array generation, no
-    pickled arrays.
-    """
-
-    config: CharacterizationConfig
-    models: Dict[str, object]
-    handles: Dict[Tuple[str, int, Tuple[int, ...]], StackedDieHandle]
-    weights_tables: Dict[str, Dict]
-
-    def check_shards(self, shards: Sequence[Shard]) -> None:
-        timings = self.config.timings
-        needed = {
-            (u.module_key, u.die, pattern_footprint(u.pattern, timings))
-            for s in shards
-            for u in s.units
-        }
-        missing = sorted(needed - set(self.handles))
-        if missing:
-            raise ExperimentError(
-                f"shared-memory worker spec has no published segment for "
-                f"(die, footprint) {missing[:4]}; publish every dispatched "
-                f"die at every needed footprint before building the spec"
-            )
-
-    def build_runner(self) -> "ShardRunner":
-        modules = {
-            key: _SharedModuleState(key, model)
-            for key, model in self.models.items()
-        }
-        return ShardRunner(
-            self.config,
-            modules.__getitem__,
-            stacked_provider=lambda key, die, offsets: attached_stacked(
-                self.handles[(key, die, offsets)]
-            ),
-            weights_tables=self.weights_tables,
-        )
 
 
 class ShardRunner:
@@ -431,10 +409,6 @@ class ShardRunner:
             Dict[Tuple[str, int, Tuple[int, ...]], DieSweepAnalyzer]
         ] = None,
         metrics=None,
-        stacked_provider: Optional[
-            Callable[[str, int, Tuple[int, ...]], StackedDie]
-        ] = None,
-        weights_tables: Optional[Dict[str, Dict]] = None,
         session=None,
         backend_spec=None,
     ) -> None:
@@ -444,8 +418,6 @@ class ShardRunner:
         self._measurement_cache = measurement_cache
         self._analyzer_cache = analyzer_cache if analyzer_cache is not None else {}
         self._metrics = metrics
-        self._stacked_provider = stacked_provider
-        self._weights_tables = weights_tables
         self._session = session
         self._backend_spec = backend_spec
         self._footprints: Dict[str, Tuple[int, ...]] = {}
@@ -498,8 +470,6 @@ class ShardRunner:
             self._measurement_cache,
             self._analyzer_cache,
             metrics=None,
-            stacked_provider=self._stacked_provider,
-            weights_tables=self._weights_tables,
             session=(
                 self._session.worker_clone()
                 if self._session is not None
@@ -507,49 +477,6 @@ class ShardRunner:
             ),
             backend_spec=self._backend_spec,
         )
-
-    def shm_spec(
-        self, shards: Sequence[Shard], store: SharedDieStore
-    ) -> ShmCharacterizationSpec:
-        """Publish every dispatched die and build the attach-side spec.
-
-        The parent builds (or reuses from its cache) each shard's
-        stacked die, copies its fused arrays into a shared-memory
-        segment owned by ``store``, and precomputes the role-weight
-        tables for every (pattern, tAggON) point of the dispatched
-        shards -- so workers start measuring immediately on attach.
-        """
-        models: Dict[str, object] = {}
-        points: Dict[str, Tuple[Dict[str, AccessPattern], set]] = {}
-        for shard in shards:
-            module = self._module_provider(shard.module_key)
-            for offsets in sorted(
-                {self.footprint(unit.pattern) for unit in shard.units}
-            ):
-                store.publish(self.stacked(module, shard.die, offsets))
-            models.setdefault(module.key, module.model)
-            patterns, t_values = points.setdefault(module.key, ({}, set()))
-            for unit in shard.units:
-                patterns.setdefault(unit.pattern.name, unit.pattern)
-                t_values.add(unit.t_on)
-        tables = {
-            key: build_role_weight_table(
-                list(patterns.values()),
-                sorted(t_values),
-                models[key],
-                self._config.temperature_c,
-                self._config.timings,
-            )
-            for key, (patterns, t_values) in points.items()
-        }
-        spec = ShmCharacterizationSpec(
-            self._config, models, store.handles, tables
-        )
-        if self._backend_spec is None:
-            return spec
-        from repro.backend.base import SessionWorkerSpec
-
-        return SessionWorkerSpec(spec, self._backend_spec)
 
     def cached_units(
         self, shard: Shard
@@ -610,18 +537,13 @@ class ShardRunner:
                 else "cache.stacked.misses"
             )
         if stacked is None:
-            if self._stacked_provider is not None:
-                # Shared-memory workers attach the parent-published
-                # segment instead of regenerating cell arrays.
-                stacked = self._stacked_provider(module.key, die, offsets)
-            else:
-                stacked = build_stacked_die(
-                    module.chip(die),
-                    self._config.bank,
-                    self._config.selection,
-                    self._config.data_pattern,
-                    offsets=offsets,
-                )
+            stacked = build_stacked_die(
+                module.chip(die),
+                self._config.bank,
+                self._config.selection,
+                self._config.data_pattern,
+                offsets=offsets,
+            )
             self._stacked_cache[key] = stacked
         return stacked
 
@@ -652,11 +574,6 @@ class ShardRunner:
                 module.model,
                 temperature_c=self._config.temperature_c,
                 timings=self._config.timings,
-                weights_table=(
-                    self._weights_tables.get(module.key)
-                    if self._weights_tables is not None
-                    else None
-                ),
             )
             self._analyzer_cache[key] = analyzer
         return analyzer
@@ -903,80 +820,46 @@ class ThreadExecutor:
 
 
 class ProcessExecutor:
-    """Runs shards on a process pool with zero-copy worker state.
+    """Runs shards on a process pool.
 
-    Worker state travels by ``share_mode``:
+    Worker state travels one of two ways, picked from the platform and
+    the runner:
 
-    * ``"fork"`` -- workers inherit the parent's live runner (modules,
-      stacked dies, analyzer caches, memoized measurements)
-      copy-on-write; only a registry token is pickled.  Requires the
-      ``fork`` start method and a runner exposing ``fork_runner()``.
-    * ``"shm"`` -- the parent publishes each dispatched die's fused cell
-      stack into a :mod:`multiprocessing.shared_memory` segment
-      (:mod:`repro.core.shm`); workers attach read-only views via
-      picklable handles and get the role-weight tables precomputed.
-      Requires a runner exposing ``shm_spec(shards, store)``.
-    * ``"pickle"`` -- the legacy protocol: a tiny spec crosses the pool
-      and workers rebuild modules from profile keys (the only mode that
-      restricts the process executor to profiled modules).
-    * ``None`` / ``"auto"`` (default) -- fork when the platform start
-      method supports it, else shm, else pickle.
+    * **fork** -- when the multiprocessing start method is ``fork``
+      and the runner exposes ``fork_runner()``, workers inherit the
+      parent's live runner (modules, stacked dies, analyzer caches,
+      memoized measurements) copy-on-write; only a registry token is
+      pickled.
+    * **pickle** -- otherwise a tiny spec (``runner.spec``) crosses the
+      pool and workers rebuild modules from profile keys (the only mode
+      that restricts the process executor to profiled modules).
 
     On the fast path (no retry policy, no fault plan) shard granularity
     is adaptive: fully memoized shards run inline in the parent,
     partially memoized shards dispatch only their missing units, and
     straggler shards split into unit slices sized by the observed
-    per-unit p50.  Results are bit-identical in every mode and at every
+    per-unit p50.  Results are bit-identical in both modes and at every
     granularity -- measurements are pure functions of their identity.
     """
 
     name = "process"
 
-    _SHARE_MODES = ("auto", "fork", "shm", "pickle")
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        share_mode: Optional[str] = None,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         self.workers = workers or (os.cpu_count() or 1)
-        if share_mode is not None and share_mode not in self._SHARE_MODES:
-            raise ExperimentError(
-                f"unknown share_mode {share_mode!r} "
-                f"(expected one of {self._SHARE_MODES})"
-            )
-        self.share_mode = share_mode
 
     # ------------------------------------------------------- worker state
 
-    def _resolved_mode(self, runner) -> str:
-        mode = self.share_mode or "auto"
-        if mode == "auto":
-            if fork_sharing_available() and hasattr(runner, "fork_runner"):
-                return "fork"
-            if hasattr(runner, "shm_spec"):
-                return "shm"
-            return "pickle"
-        return mode
-
+    @staticmethod
     def _worker_state(
-        self, runner, shards: Sequence[Shard], obs: Optional[Observability]
+        runner, obs: Optional[Observability]
     ) -> Tuple[object, Callable[[], None], str]:
         """Prepare worker state; returns (spec, cleanup, mode).
 
         ``cleanup`` must run in a ``finally`` -- it discards the
-        fork-state registration or unlinks the shared-memory segments,
-        whichever the mode created.
+        fork-state registration of the fork mode.
         """
-        mode = self._resolved_mode(runner)
-        if mode == "fork":
-            factory = getattr(runner, "fork_runner", None)
-            if factory is None or not fork_sharing_available():
-                raise ExperimentError(
-                    "share_mode='fork' needs the fork start method and a "
-                    "runner exposing fork_runner(); use share_mode='shm' "
-                    "or 'pickle' instead"
-                )
+        factory = getattr(runner, "fork_runner", None)
+        if factory is not None and fork_sharing_available():
             token = install_fork_state(factory())
             if obs is not None:
                 obs.metrics.inc("worker_state.fork")
@@ -984,35 +867,7 @@ class ProcessExecutor:
             spec = ForkWorkerSpec(
                 token, inner=getattr(runner, "fork_check_spec", None)
             )
-            return spec, lambda: discard_fork_state(token), mode
-        if mode == "shm":
-            factory = getattr(runner, "shm_spec", None)
-            if factory is None:
-                raise ExperimentError(
-                    "share_mode='shm' needs a runner exposing "
-                    "shm_spec(shards, store); use share_mode='pickle' "
-                    "for this runner"
-                )
-            store = SharedDieStore()
-            try:
-                spec = factory(shards, store)
-            except BaseException:
-                store.close()
-                raise
-            if obs is not None:
-                obs.metrics.inc("shm.segments_published", len(store))
-                obs.emit(
-                    "shm_publish", segments=len(store), nbytes=store.nbytes
-                )
-
-            def cleanup() -> None:
-                segments = len(store)
-                store.close()
-                if obs is not None:
-                    obs.metrics.inc("shm.segments_unlinked", segments)
-                    obs.emit("shm_unlink", segments=segments)
-
-            return spec, cleanup, mode
+            return spec, lambda: discard_fork_state(token), "fork"
         spec = getattr(runner, "spec", None)
         if spec is None:
             raise ExperimentError(
@@ -1020,7 +875,7 @@ class ProcessExecutor:
                 "worker spec (runner.spec); use the serial or thread "
                 "executor for this runner"
             )
-        return spec, lambda: None, mode
+        return spec, lambda: None, "pickle"
 
     # ----------------------------------------------------------- dispatch
 
@@ -1043,7 +898,7 @@ class ProcessExecutor:
             )
         if policy is None and fault_plan is None:
             return self._map_chunked(plan, runner, on_shard, obs)
-        spec, cleanup, _ = self._worker_state(runner, plan.shards, obs)
+        spec, cleanup, _ = self._worker_state(runner, obs)
         try:
             spec.check_shards(plan.shards)
             return self._map_resilient(
@@ -1100,12 +955,12 @@ class ProcessExecutor:
             finish(shard.index, _execute_shard(runner, shard, obs))
 
         if dispatch:
-            spec, cleanup, mode = self._worker_state(runner, dispatch, obs)
+            spec, cleanup, mode = self._worker_state(runner, obs)
             try:
                 spec.check_shards(dispatch)
                 tasks = _adaptive_tasks(dispatch, self.workers, obs)
                 # Module affinity only matters when workers rebuild
-                # modules (pickle mode); zero-copy modes pack purely by
+                # modules (pickle mode); the fork mode packs purely by
                 # cost so straggler slices spread across the pool.
                 chunks = _partition_tasks(
                     tasks, self.workers, affinity=(mode == "pickle")
@@ -1183,11 +1038,10 @@ class ProcessExecutor:
         current pool and resubmits the innocent in-flight shards --
         harmless, since measurements are pure functions of the plan.
 
-        ``spec`` is the prepared worker spec of the chosen share mode
-        (fork token, shm handles, or the legacy rebuild recipe); pool
-        restarts reuse it -- re-forked workers still find the fork
-        state installed, and shm segments stay linked until the
-        caller's cleanup runs.
+        ``spec`` is the prepared worker spec (fork token or pickle
+        rebuild recipe); pool restarts reuse it -- re-forked workers
+        still find the fork state installed until the caller's cleanup
+        runs.
         """
         failures: Dict[int, int] = {shard.index: 0 for shard in plan.shards}
         done: Dict[int, List[DieMeasurement]] = {}
@@ -1334,21 +1188,6 @@ class ProcessExecutor:
         return [done[shard.index] for shard in plan.shards]
 
 
-def _partition_shards(
-    shards: Sequence[Shard], workers: int
-) -> List[Tuple[Shard, ...]]:
-    """Partition shards into at most ``workers`` chunks (affinity-kept).
-
-    Retained for the legacy (pickle) protocol semantics: consecutive
-    shards sharing a ``group_key`` stay together so each worker rebuilds
-    that state at most once.  The adaptive fast path goes through
-    :func:`_adaptive_tasks` / :func:`_partition_tasks` instead.
-    """
-    tasks = [(shard, 0) for shard in shards]
-    chunks = _partition_tasks(tasks, workers, affinity=True)
-    return [tuple(shard for shard, _ in chunk) for chunk in chunks]
-
-
 def _adaptive_tasks(
     shards: Sequence[Shard],
     workers: int,
@@ -1404,7 +1243,7 @@ def _partition_tasks(
 
     With ``affinity`` (pickle mode), consecutive tasks sharing a
     ``group_key`` stay on one worker so it rebuilds that module once;
-    zero-copy modes pack each task independently.  Groups go greedily
+    the fork mode packs each task independently.  Groups go greedily
     to the least-loaded chunk, weighted by unit count.  Deterministic,
     and harmless to result order (tasks carry their canonical shard
     index and part number).
@@ -1524,14 +1363,9 @@ class AutoExecutor:
     #: for its own startup (worker spawn + state transfer).
     min_parallel_seconds = 1.0
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        share_mode: Optional[str] = None,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         self.requested_workers = workers
         self.workers = workers or (os.cpu_count() or 1)
-        self.share_mode = share_mode
         self.last_decision: Optional[Dict] = None
 
     def _choose(
@@ -1605,7 +1439,7 @@ class AutoExecutor:
             return decision, probed
         crossable = any(
             hasattr(runner, attr)
-            for attr in ("fork_runner", "shm_spec", "spec")
+            for attr in ("fork_runner", "spec")
         )
         if crossable:
             decision.update(
@@ -1659,7 +1493,7 @@ class AutoExecutor:
         elif chosen == "thread":
             delegate = ThreadExecutor(workers)
         else:
-            delegate = ProcessExecutor(workers, share_mode=self.share_mode)
+            delegate = ProcessExecutor(workers)
         out.extend(
             delegate.map_shards(
                 replace(plan, shards=rest),

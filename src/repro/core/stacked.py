@@ -78,10 +78,9 @@ def role_names(offsets: Tuple[int, ...]) -> Tuple[str, ...]:
     """Role names of a footprint, in stack (offset-tuple) order."""
     return tuple(role_name(offset) for offset in offsets)
 
-#: Array fields of :class:`RoleArrays`, in the order they are packed
-#: when a fused stack is serialized (e.g. into a shared-memory segment
-#: by :mod:`repro.core.shm`).  ``rows`` is 1-D; every other field is a
-#: ``(rows, n_cells)`` stack.
+#: Array fields of :class:`RoleArrays`, the names the per-role views of
+#: a fused stack are sliced under (:func:`stacked_from_fused`).
+#: ``rows`` is 1-D; every other field is a ``(rows, n_cells)`` stack.
 FUSED_FIELDS: Tuple[str, ...] = (
     "rows",
     "theta",
@@ -282,10 +281,9 @@ def stacked_from_fused(
     """Assemble a :class:`StackedDie` around an existing fused stack.
 
     The per-role :class:`RoleArrays` are views into ``fused`` (role-major
-    slices in the footprint's offset order).  Both the build path
-    (:func:`build_stacked_die`) and the shared-memory attach path
-    (:mod:`repro.core.shm`) go through this constructor, so the two can
-    never disagree about the stack layout.
+    slices in the footprint's offset order), so a die's roles and its
+    fused stack can never disagree about the layout.
+    :func:`build_stacked_die` assembles every die through it.
     """
     offsets = tuple(offsets)
     n_loc = len(base_rows)

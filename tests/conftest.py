@@ -20,20 +20,20 @@ __all__ = ["make_synthetic_chip", "make_synthetic_model"]
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _no_leaked_shm_segments():
-    """Fail the session if any shared-memory segment outlives its campaign.
+def _no_leaked_fork_state():
+    """Fail the session if any fork-state registration outlives its pool.
 
-    Every ``SharedDieStore`` unlinks its segments on close/interruption;
-    a name still live at teardown means some code path leaked kernel
-    resources that would accumulate across real campaigns.
+    The process executor discards its registration in a ``finally``; a
+    token still live at teardown pins a whole runner's caches (modules,
+    stacked dies, memoized measurements) in the parent process.
     """
-    from repro.core import shm
+    from repro.core.engine import live_fork_tokens
 
     yield
-    leaked = sorted(shm.live_segment_names())
+    leaked = live_fork_tokens()
     assert not leaked, (
-        f"shared-memory segments leaked by the test session: {leaked}; "
-        f"a SharedDieStore was not closed/unlinked"
+        f"fork-state registrations leaked by the test session: {leaked}; "
+        f"a process pool's cleanup did not run"
     )
 
 

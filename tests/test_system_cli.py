@@ -105,7 +105,7 @@ def test_cli_noisy_backend_matches_fault_free_run(tmp_path, capsys):
 
 
 def test_cli_keyboard_interrupt_exits_130(monkeypatch, capsys):
-    from repro.core import shm
+    from repro.core.engine import live_fork_tokens
     from repro.core.runner import CharacterizationRunner
 
     def interrupt(self, *args, **kwargs):
@@ -118,4 +118,4 @@ def test_cli_keyboard_interrupt_exits_130(monkeypatch, capsys):
     ])
     assert code == 130
     assert "interrupted" in capsys.readouterr().err
-    assert not shm.live_segment_names()
+    assert not live_fork_tokens()
