@@ -107,7 +107,7 @@ class Program:
 
     def flat(self) -> Iterator[Instruction]:
         """Yield primitive instructions with loops unrolled (lazily)."""
-        yield from _flatten(self.nodes)
+        yield from flatten(self.nodes)
 
     def static_instruction_count(self) -> int:
         """Number of nodes before unrolling (program size, not runtime)."""
@@ -118,13 +118,14 @@ class Program:
         return _dynamic_count(self.nodes)
 
 
-def _flatten(nodes) -> Iterator[Instruction]:
+def flatten(nodes) -> Iterator[Instruction]:
+    """Yield the primitive instructions of ``nodes``, loops unrolled."""
     for node in nodes:
         if isinstance(node, Instruction):
             yield node
         elif isinstance(node, Loop):
             for _ in range(node.count):
-                yield from _flatten(node.body)
+                yield from flatten(node.body)
         else:
             raise ProgramError(f"invalid program node {node!r}")
 

@@ -108,6 +108,23 @@ class TimingChecker:
         self._ref_done = now + self._t.tRFC
         return self._ref_done
 
+    def shift_bank_history(self, bank: int, delta: float) -> None:
+        """Move ``bank``'s ACT/PRE history and the tFAW window ``delta`` ns
+        later, as if the commands that produced them had been issued
+        that much later.
+
+        Used by the interpreter's loop fast-forward: once the tFAW window
+        and the last ACT hold only one loop's commands on ``bank``, the
+        checker state after ``m`` more identical iterations is the
+        current state shifted by ``m`` periods.
+        """
+        if bank in self._last_act:
+            self._last_act[bank] += delta
+        if bank in self._last_pre:
+            self._last_pre[bank] += delta
+        self._recent_acts = [t + delta for t in self._recent_acts]
+        self._last_act_any += delta
+
     def _check_ref_quiet(self, now: float, what: str) -> None:
         if now < self._ref_done - _EPS:
             raise TimingViolationError(

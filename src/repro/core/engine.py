@@ -1364,7 +1364,6 @@ class AutoExecutor:
     min_parallel_seconds = 1.0
 
     def __init__(self, workers: Optional[int] = None) -> None:
-        self.requested_workers = workers
         self.workers = workers or (os.cpu_count() or 1)
         self.last_decision: Optional[Dict] = None
 
@@ -1623,17 +1622,14 @@ def run_plan(
         obs.campaign_t0 = time.monotonic()
 
     primary = ladder[0] if ladder else None
-    # Oversubscription is only worth warning about for process-backed
-    # executors: each extra process duplicates worker state and contends
-    # for cores, while surplus *threads* merely idle (and the thread
-    # executor's counter totals must stay executor-independent).
-    requested = None
-    if isinstance(primary, (ProcessExecutor, AutoExecutor)):
-        requested = getattr(primary, "requested_workers", None)
-        if requested is None and not isinstance(primary, AutoExecutor):
-            requested = getattr(primary, "workers", None)
+    # Oversubscription is only worth warning about for a process pool:
+    # each extra process duplicates worker state and contends for cores,
+    # while surplus *threads* merely idle (and the thread executor's
+    # counter totals must stay executor-independent).  The auto executor
+    # caps its pool at the core count, so it never oversubscribes.
+    requested = primary.workers if isinstance(primary, ProcessExecutor) else None
     cpus = os.cpu_count() or 1
-    if isinstance(requested, int) and requested > cpus:
+    if requested is not None and requested > cpus:
         message = (
             f"{requested} workers requested but only {cpus} CPU core(s) "
             f"are available; the pool will oversubscribe"

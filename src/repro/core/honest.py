@@ -6,8 +6,10 @@ simulated chip (initialize -> hammer N iterations -> read back), and
 searches for the smallest N that induces at least one bitflip, using a
 geometric ramp followed by bisection.
 
-It is orders of magnitude slower than the closed form in
-:mod:`repro.core.acmin` and exists for two reasons: (1) it validates that
+It is slower than the closed form in :mod:`repro.core.acmin` (the
+interpreter fast-forwards the hammer loop, but every probe still runs
+init and readback command by command, and observed runs step every
+command) and exists for two reasons: (1) it validates that
 the closed form and the command-level device model agree (the test suite
 does exactly that), and (2) it is the only path that can evaluate
 mitigation mechanisms (TRR/PARA/Graphene), which react to the actual

@@ -67,6 +67,11 @@ class Bank:
     def tracker(self) -> Optional[DisturbanceTracker]:
         return self._tracker
 
+    @property
+    def retention(self):
+        """The retention-failure model, or ``None`` (no retention loss)."""
+        return self._retention
+
     # --------------------------------------------------------------- commands
 
     def activate(
@@ -145,6 +150,18 @@ class Bank:
 
     # ----------------------------------------------------------------- helpers
 
+    def shift_time(self, rows, delta: float) -> None:
+        """Move the bank's time stamps ``delta`` ns later: the open time of
+        the last activation and the last restore of each row in ``rows``.
+
+        The interpreter's loop fast-forward calls this after skipping
+        whole loop iterations that activated exactly ``rows``.
+        """
+        self._open_since += delta
+        for row in rows:
+            if row in self._last_restore:
+                self._last_restore[row] += delta
+
     def stored_bits(self, row: int) -> Optional[np.ndarray]:
         """Raw stored data (for inspection in tests); None if never written."""
         data = self._data.get(row)
@@ -155,7 +172,7 @@ class Bank:
         data = self._data.get(row)
         if data is None:
             return
-        if self._tracker is not None:
+        if self._tracker is not None and self._tracker.is_disturbed(row):
             flips = self._tracker.flip_mask(row, data)
             if flips.any():
                 data ^= flips.astype(np.uint8)

@@ -174,3 +174,15 @@ def test_oversubscription_warns_and_lands_in_report(fast_config, s0_module):
     report = engine.last_report
     assert any("oversubscribe" in w for w in report.warnings)
     assert "oversubscribe" in report.summary()
+
+
+def test_auto_executor_never_warns_oversubscription(
+    fast_config, s0_module, recwarn
+):
+    """The auto executor caps its pool at the core count (and may pick
+    serial), so asking it for more workers than cores is no warning."""
+    executor = AutoExecutor((os.cpu_count() or 1) + 2)
+    engine, _ = _run(fast_config, [s0_module], executor)
+    assert not [w for w in recwarn if "oversubscribe" in str(w.message)]
+    assert not any("oversubscribe" in w for w in engine.last_report.warnings)
+    assert executor.last_decision["workers"] <= (os.cpu_count() or 1)
