@@ -70,6 +70,7 @@ __all__ = [
     "MEASUREMENT_CODEC",
     "AdvisoryLock",
     "CheckpointJournal",
+    "parse_journal",
 ]
 
 logger = logging.getLogger("repro.checkpoint")
@@ -468,7 +469,7 @@ class CheckpointJournal:
             if note:
                 logger.warning("checkpoint journal %s: %s", self._path, note)
             self._digest = True
-        parsed = self._parse(raw)
+        parsed = parse_journal(self._path, raw, "checkpoint journal")
         if not parsed:
             raise CheckpointError(f"checkpoint journal {self._path} is empty")
         header = parsed[0]
@@ -529,53 +530,52 @@ class CheckpointJournal:
             write_digest(self._path, self._hash.hexdigest())
         return completed
 
-    def _parse(self, raw: bytes) -> List[dict]:
-        """Parse the journal's lines, handling a torn trailing line.
 
-        Works on bytes so a line torn inside a multi-byte UTF-8 sequence
-        is recognized as torn instead of crashing the decode.
-        """
-        segments = raw.split(b"\n")
-        lines = [
-            (position, segment)
-            for position, segment in enumerate(segments)
-            if segment.strip()
-        ]
-        parsed: List[dict] = []
-        for ordinal, (position, segment) in enumerate(lines):
-            try:
-                parsed.append(json.loads(segment.decode("utf-8")))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                last = ordinal == len(lines) - 1
-                if last and ordinal > 0:
-                    # Crash mid-append: the final line is torn.  Drop it
-                    # (its shard will simply be re-measured) and truncate
-                    # the file so the next append starts on a clean line.
-                    # str(exc): a retained log record must not pin this
-                    # journal (and its advisory lock) alive through the
-                    # exception's traceback frames.
-                    logger.warning(
-                        "checkpoint journal %s has a torn trailing line "
-                        "(%s); dropping it and resuming from the %d "
-                        "complete shard record(s)",
-                        self._path,
-                        str(exc),
-                        len(parsed) - 1,
-                    )
-                    self._truncate_to(segments, position)
-                    break
-                raise CheckpointError(
-                    f"checkpoint journal {self._path} is malformed: {exc}"
-                ) from exc
-        return parsed
+def parse_journal(
+    path: Path, raw: bytes, label: str, log: logging.Logger = logger
+) -> List[dict]:
+    """Parse a JSONL journal's bytes, repairing a torn trailing line.
 
-    def _truncate_to(self, segments: List[bytes], position: int) -> None:
-        """Cut the file back to the byte offset where line ``position`` starts."""
-        keep = sum(len(segment) + 1 for segment in segments[:position])
+    Shared by the checkpoint journal and the service queue journal;
+    ``label`` names the journal kind in messages ("checkpoint journal",
+    "queue journal").  Works on bytes so a line torn inside a multi-byte
+    UTF-8 sequence is recognized as torn instead of crashing the decode.
+    A torn final line after the header (crash mid-append) is dropped
+    with a warning on ``log`` and truncated away, so the next append
+    starts on a clean line; an unparseable line anywhere else raises
+    :class:`~repro.errors.CheckpointError`.
+    """
+    segments = raw.split(b"\n")
+    lines = [
+        (position, segment)
+        for position, segment in enumerate(segments)
+        if segment.strip()
+    ]
+    parsed: List[dict] = []
+    for ordinal, (position, segment) in enumerate(lines):
         try:
-            with open(self._path, "r+b") as handle:
-                handle.truncate(keep)
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot repair torn checkpoint journal {self._path}: {exc}"
-            ) from exc
+            parsed.append(json.loads(segment.decode("utf-8")))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            if ordinal == len(lines) - 1 and ordinal > 0:
+                # str(exc): a retained log record must not pin the
+                # journal (and its advisory lock) alive through the
+                # exception's traceback frames.
+                log.warning(
+                    "%s %s has a torn trailing line (%s); dropping it and "
+                    "replaying the %d intact line(s) after the header",
+                    label,
+                    path,
+                    str(exc),
+                    len(parsed) - 1,
+                )
+                keep = sum(len(line) + 1 for line in segments[:position])
+                try:
+                    with open(path, "r+b") as handle:
+                        handle.truncate(keep)
+                except OSError as error:
+                    raise CheckpointError(
+                        f"cannot repair torn {label} {path}: {error}"
+                    ) from error
+                break
+            raise CheckpointError(f"{label} {path} is malformed: {exc}") from exc
+    return parsed

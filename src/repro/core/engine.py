@@ -27,12 +27,13 @@ Structure
   measurements -- via a fork-state token; elsewhere a small picklable
   spec crosses the pool and workers rebuild their modules from the
   profile keys.  Cell arrays never cross the pool boundary in either.
-* Shard granularity is adaptive on the fast path: shards whose every
+* Shard granularity in the process pool is adaptive: shards whose every
   unit is already memoized run inline in the parent (trivial shards
   coalesce to zero pool traffic), partially memoized shards dispatch
   only their missing units, and stragglers split into unit slices using
   the observed per-unit execute times (``shard.unit_seconds`` p50) fed
-  back from the metrics registry.
+  back from the metrics registry.  One dispatch loop serves every
+  campaign, with or without a retry policy.
 * Results stream back per shard and are reassembled in canonical order:
   modules in call order, dies ascending, then patterns x tAggON x trials
   exactly as the serial 5-deep loop would have emitted them.
@@ -158,9 +159,8 @@ class Shard:
 
     Shards implement the executor-facing shard protocol shared with
     other campaign kinds (e.g. the mitigation campaign): ``index`` and
-    ``units`` plus the :attr:`group_key` / :attr:`label` /
-    :attr:`obs_fields` properties the executors and the engine use for
-    partitioning, error messages, and event payloads.
+    ``units`` plus the :attr:`label` / :attr:`obs_fields` properties the
+    executors and the engine use for error messages and event payloads.
     """
 
     index: int
@@ -168,12 +168,6 @@ class Shard:
     manufacturer: str
     die: int
     units: Tuple[WorkUnit, ...]
-
-    @property
-    def group_key(self) -> str:
-        """Chunking affinity: consecutive shards sharing this key stay on
-        one worker (so a process worker rebuilds each module once)."""
-        return self.module_key
 
     @property
     def label(self) -> str:
@@ -485,7 +479,7 @@ class ShardRunner:
 
         ``None`` means no measurement cache is attached and the
         executors must treat the whole shard as missing.  The process
-        executor's fast path uses this to coalesce fully memoized
+        executor uses this to coalesce fully memoized
         shards into inline parent execution and to dispatch only the
         missing units of partially memoized shards.
         """
@@ -718,7 +712,7 @@ def _execute_shard(
         measurements = runner.run(shard)
     elapsed = time.monotonic() - start
     obs.metrics.observe("shard.execute_seconds", elapsed)
-    # Normalized per-unit cost: the adaptive chunker's feedback signal.
+    # Normalized per-unit cost: the straggler splitter's feedback signal.
     obs.metrics.observe(
         "shard.unit_seconds", elapsed / max(1, len(shard.units))
     )
@@ -834,12 +828,22 @@ class ProcessExecutor:
       pool and workers rebuild modules from profile keys (the only mode
       that restricts the process executor to profiled modules).
 
-    On the fast path (no retry policy, no fault plan) shard granularity
-    is adaptive: fully memoized shards run inline in the parent,
-    partially memoized shards dispatch only their missing units, and
-    straggler shards split into unit slices sized by the observed
-    per-unit p50.  Results are bit-identical in both modes and at every
-    granularity -- measurements are pure functions of their identity.
+    Every campaign runs through one dispatch loop.  Fully memoized
+    shards run inline in the parent, partially memoized shards dispatch
+    only their missing units, and straggler shards split into unit
+    slices sized by the observed per-unit p50.  Each (shard, part) task
+    is one future; a shard completes once all its parts are back, merged
+    with its cache hits and checked by ``runner.validate``.  Results are
+    bit-identical in both modes and at every granularity --
+    measurements are pure functions of their identity.
+
+    Retry, timeout and fault injection are options of that loop.  With a
+    retry policy (a fault plan implies the default one) every task gets
+    a deadline, failures are charged to their shard and retried, and a
+    broken pool is rebuilt up to ``policy.max_pool_restarts`` times.
+    Without one, a worker's error propagates unchanged and a broken pool
+    raises :class:`~repro.errors.PoolBrokenError` at once, so the
+    engine's process -> thread -> serial ladder applies.
     """
 
     name = "process"
@@ -896,160 +900,106 @@ class ProcessExecutor:
                 "a FaultPlan used with the process executor needs a "
                 "state_dir: attempt counters must survive the pool boundary"
             )
-        if policy is None and fault_plan is None:
-            return self._map_chunked(plan, runner, on_shard, obs)
-        spec, cleanup, _ = self._worker_state(runner, obs)
-        try:
-            spec.check_shards(plan.shards)
-            return self._map_resilient(
-                plan, runner, spec, policy or RetryPolicy(), fault_plan,
-                on_shard, report, obs,
-            )
-        finally:
-            cleanup()
-
-    def _map_chunked(
-        self,
-        plan: SweepPlan,
-        runner: ShardRunner,
-        on_shard: Optional[OnShard],
-        obs: Optional[Observability] = None,
-    ) -> List[List[DieMeasurement]]:
-        """Fast path: cache-aware splits, adaptive chunks, no retries."""
+        if policy is None and fault_plan is not None:
+            policy = RetryPolicy()
+        shard_by_index = {shard.index: shard for shard in plan.shards}
         inline: List[Shard] = []
-        partial_hits: Dict[int, Shard] = {}
         dispatch: List[Shard] = []
+        hit_parts: Dict[int, Shard] = {}
         cached_units = getattr(runner, "cached_units", None)
         for shard in plan.shards:
             split = cached_units(shard) if cached_units is not None else None
-            if split is None:
-                dispatch.append(shard)
-                continue
-            hits, missing = split
+            hits, missing = split if split is not None else ((), shard.units)
             if not missing:
-                # Trivial shard: every unit memoized -- coalesce to
-                # inline parent execution, zero pool traffic.
+                # Every unit memoized: run inline, zero pool traffic.
                 inline.append(shard)
-            elif hits:
-                partial_hits[shard.index] = replace(shard, units=tuple(hits))
-                dispatch.append(replace(shard, units=tuple(missing)))
-            else:
-                dispatch.append(shard)
+                continue
+            if hits:
+                hit_parts[shard.index] = replace(shard, units=hits)
+            dispatch.append(replace(shard, units=missing))
 
-        shard_by_index = {shard.index: shard for shard in plan.shards}
-        by_index: Dict[int, List[DieMeasurement]] = {}
+        done: Dict[int, List[DieMeasurement]] = {}
 
         def finish(index: int, measurements: List[DieMeasurement]) -> None:
-            shard = shard_by_index[index]
-            hits_shard = partial_hits.get(index)
-            if hits_shard is not None:
-                hit_results = _execute_shard(runner, hits_shard, obs)
-                measurements = _merge_by_identity(
-                    runner, shard, hit_results, measurements
-                )
-            by_index[index] = measurements
+            done[index] = measurements
             if on_shard is not None:
-                on_shard(shard, measurements)
+                on_shard(shard_by_index[index], measurements)
+
+        def assemble(index: int, measurements: List) -> List:
+            """Merge a dispatched shard with its cache hits and validate."""
+            shard = shard_by_index[index]
+            hits_shard = hit_parts.get(index)
+            if hits_shard is not None:
+                measurements = _merge_by_identity(
+                    runner,
+                    shard,
+                    _execute_shard(runner, hits_shard, obs),
+                    measurements,
+                )
+            runner.validate(shard, measurements)
+            return measurements
 
         for shard in inline:
-            finish(shard.index, _execute_shard(runner, shard, obs))
-
+            finish(
+                shard.index,
+                _run_shard_guarded(
+                    runner, shard, policy, fault_plan, report, obs
+                ),
+            )
         if dispatch:
-            spec, cleanup, mode = self._worker_state(runner, obs)
+            spec, cleanup, _ = self._worker_state(runner, obs)
             try:
                 spec.check_shards(dispatch)
-                tasks = _adaptive_tasks(dispatch, self.workers, obs)
-                # Module affinity only matters when workers rebuild
-                # modules (pickle mode); the fork mode packs purely by
-                # cost so straggler slices spread across the pool.
-                chunks = _partition_tasks(
-                    tasks, self.workers, affinity=(mode == "pickle")
+                self._run_tasks(
+                    _adaptive_tasks(dispatch, self.workers, obs),
+                    spec, policy, fault_plan, report, obs, assemble, finish,
                 )
-                expected: Dict[int, int] = {}
-                for shard, _part in tasks:
-                    expected[shard.index] = expected.get(shard.index, 0) + 1
-                parts: Dict[int, Dict[int, List[DieMeasurement]]] = {}
-                with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                    submitted = time.monotonic()
-                    futures = {
-                        pool.submit(
-                            _run_shard_chunk,
-                            spec,
-                            tuple(shard for shard, _ in chunk),
-                        ): chunk
-                        for chunk in chunks
-                    }
-                    for future in as_completed(futures):
-                        chunk = futures[future]
-                        chunk_results = future.result()
-                        if obs is not None:
-                            # Workers are uninstrumented (the registry
-                            # never crosses the pool boundary); observe
-                            # each chunk's submit-to-drain wall time.
-                            obs.metrics.observe(
-                                "chunk.wall_seconds",
-                                time.monotonic() - submitted,
-                            )
-                        for (shard, part), (index, measurements) in zip(
-                            chunk, chunk_results
-                        ):
-                            got = parts.setdefault(index, {})
-                            got[part] = measurements
-                            if len(got) == expected[index]:
-                                finish(
-                                    index,
-                                    [
-                                        m
-                                        for _, ms in sorted(got.items())
-                                        for m in ms
-                                    ],
-                                )
-            except BrokenProcessPool as exc:
-                # No retry budget on the fast path: surface the breakage
-                # in the engine's vocabulary so the degradation ladder
-                # applies.
-                raise PoolBrokenError(
-                    f"process pool broke while running chunked shards: {exc}"
-                ) from exc
             finally:
                 cleanup()
-        return [by_index[shard.index] for shard in plan.shards]
+        return [done[shard.index] for shard in plan.shards]
 
-    def _map_resilient(
+    def _run_tasks(
         self,
-        plan: SweepPlan,
-        runner: ShardRunner,
+        tasks: Sequence[Tuple[Shard, int]],
         spec,
-        policy: RetryPolicy,
+        policy: Optional[RetryPolicy],
         fault_plan: Optional[FaultPlan],
-        on_shard: Optional[OnShard],
         report: Optional[RunReport],
-        obs: Optional[Observability] = None,
-    ) -> List[List[DieMeasurement]]:
-        """Per-shard dispatch with retry, timeout, and pool restarts.
+        obs: Optional[Observability],
+        assemble: Callable[[int, List], List],
+        finish: Callable[[int, List], None],
+    ) -> None:
+        """The dispatch loop: one future per (shard, part) task.
 
-        Shards are submitted individually so each can fail, time out,
-        and be retried independently; a crashed worker breaks the whole
-        pool (CPython offers no per-task isolation), in which case every
-        in-flight shard is charged one attempt ("attribution is
-        per-pool-generation") and the pool is rebuilt, at most
+        Once every part of a shard is back, ``assemble`` receives the
+        parts concatenated in part order (it merges and validates) and
+        ``finish`` streams the result.
+
+        With a ``policy``, failures are charged per shard index: a failed
+        task is resubmitted, a shard that fails ``assemble`` resubmits all
+        its parts, and each shard may fail ``policy.max_retries`` times.
+        A crashed worker breaks the whole pool (CPython offers no
+        per-task isolation), so every shard with a task in flight is
+        charged one attempt and the pool is rebuilt, at most
         ``policy.max_pool_restarts`` times.  Hung workers cannot be
-        killed individually either, so a shard timeout abandons the
-        current pool and resubmits the innocent in-flight shards --
-        harmless, since measurements are pure functions of the plan.
-
-        ``spec`` is the prepared worker spec (fork token or pickle
-        rebuild recipe); pool restarts reuse it -- re-forked workers
-        still find the fork state installed until the caller's cleanup
-        runs.
+        killed individually either, so an expired task deadline
+        abandons the pool and resubmits the innocent in-flight tasks
+        uncharged -- harmless, since measurements are pure functions of
+        the plan.  Fault hooks travel with part 0 only, so a fault's
+        ``times`` counts whole-shard attempts.  Pool restarts reuse
+        ``spec``: re-forked workers still find the fork state installed
+        until the caller's cleanup runs.
         """
-        failures: Dict[int, int] = {shard.index: 0 for shard in plan.shards}
-        done: Dict[int, List[DieMeasurement]] = {}
-        pending: List[Shard] = list(plan.shards)
+        parts_of: Dict[int, List[Tuple[Shard, int]]] = {}
+        for task in tasks:
+            parts_of.setdefault(task[0].index, []).append(task)
+        got: Dict[int, Dict[int, List]] = {index: {} for index in parts_of}
+        failures: Dict[int, int] = dict.fromkeys(parts_of, 0)
+        pending: List[Tuple[Shard, int]] = list(tasks)
         pool_breaks = 0
 
         def charge(shard: Shard, exc: Exception) -> None:
-            """Account one failure; requeue or raise ShardFailedError."""
+            """Account one failure; raise ShardFailedError past the budget."""
             failures[shard.index] += 1
             count = failures[shard.index]
             label = f"shard {shard.index} ({shard.label})"
@@ -1072,62 +1022,63 @@ class ProcessExecutor:
                     "shard_retry", label=label, failures=count, error=str(exc)
                 )
             time.sleep(policy.backoff_delay(count))
-            pending.append(shard)
 
-        while len(done) < len(plan.shards):
-            if not pending:  # every shard must be done or queued
-                lost = sorted(set(failures) - set(done))
-                raise ExecutorError(
-                    f"internal scheduling error: shards {lost} neither "
-                    f"completed nor queued for retry"
-                )
-            workers = max(1, min(self.workers, len(pending)))
-            pool = ProcessPoolExecutor(max_workers=workers)
+        while pending:
+            pool = ProcessPoolExecutor(
+                max_workers=min(self.workers, len(pending))
+            )
             abandoned = False
-            futures: Dict[object, Tuple[Shard, float]] = {}
-            submit_times: Dict[object, float] = {}
+            # future -> (task, deadline, submit time)
+            futures: Dict[object, Tuple[Tuple[Shard, int], float, float]] = {}
 
-            def submit(shard: Shard) -> None:
-                deadline = (
-                    time.monotonic() + policy.shard_timeout
-                    if policy.shard_timeout is not None
-                    else math.inf
-                )
-                future = pool.submit(
-                    _run_shard_remote, spec, shard, fault_plan
-                )
-                futures[future] = (shard, deadline)
-                if obs is not None:
-                    submit_times[future] = time.monotonic()
+            def submit_pending() -> None:
+                # A task leaves ``pending`` only once it is in flight, so
+                # a pool break mid-submission loses none.
+                while pending:
+                    shard, part = pending[0]
+                    now = time.monotonic()
+                    deadline = (
+                        now + policy.shard_timeout
+                        if policy is not None
+                        and policy.shard_timeout is not None
+                        else math.inf
+                    )
+                    future = pool.submit(
+                        _run_task, spec, shard,
+                        fault_plan if part == 0 else None,
+                    )
+                    futures[future] = (pending.pop(0), deadline, now)
 
             try:
-                # Drain as we submit: a pool break mid-submission must
-                # not leave a shard both in ``pending`` and in-flight.
-                while pending:
-                    submit(pending.pop(0))
+                submit_pending()
                 while futures:
-                    timeout = None
-                    if policy.shard_timeout is not None:
-                        next_deadline = min(dl for _, dl in futures.values())
-                        timeout = max(0.0, next_deadline - time.monotonic())
+                    next_deadline = min(dl for _, dl, _ in futures.values())
                     finished, _ = wait(
-                        set(futures), timeout=timeout,
+                        set(futures),
+                        timeout=(
+                            None
+                            if next_deadline == math.inf
+                            else max(0.0, next_deadline - time.monotonic())
+                        ),
                         return_when=FIRST_COMPLETED,
                     )
                     if not finished:
-                        # A deadline expired with nothing completed: the
-                        # worker is hung.  Charge the timed-out shards and
-                        # abandon the pool to reclaim their workers.
+                        # A deadline expired with nothing completed: a
+                        # worker is hung.  Charge the timed-out shards,
+                        # resubmit every in-flight task, and abandon the
+                        # pool to reclaim the hung workers.
                         now = time.monotonic()
                         abandoned = True
-                        expired = [
-                            future
-                            for future, (_, deadline) in futures.items()
-                            if deadline <= now
-                        ]
-                        for future in expired:
-                            shard, _ = futures.pop(future)
+                        inflight = list(futures.values())
+                        for future in futures:
                             future.cancel()
+                        futures.clear()
+                        expired = {
+                            task[0].index: task[0]
+                            for task, deadline, _ in inflight
+                            if deadline <= now
+                        }
+                        for shard in expired.values():
                             charge(
                                 shard,
                                 ShardTimeoutError(
@@ -1136,36 +1087,60 @@ class ProcessExecutor:
                                     f"timeout"
                                 ),
                             )
-                        # Innocent in-flight shards are resubmitted
-                        # without an attempt charge.
-                        pending.extend(shard for shard, _ in futures.values())
-                        futures.clear()
+                        pending.extend(task for task, _, _ in inflight)
                         break
                     for future in finished:
-                        shard, _ = futures.pop(future)
+                        task, deadline, submitted = futures.pop(future)
+                        shard, part = task
                         try:
-                            _, measurements = future.result()
-                            runner.validate(shard, measurements)
+                            result = future.result()
                         except BrokenProcessPool:
-                            # Hand the shard back so the pool-break
+                            # Hand the task back so the pool-break
                             # handler below charges and requeues it with
                             # the rest of the in-flight generation.
-                            futures[future] = (shard, math.inf)
+                            futures[future] = (task, deadline, submitted)
                             raise
                         except Exception as exc:  # noqa: BLE001
+                            if policy is None:
+                                raise
                             charge(shard, exc)
+                            pending.append(task)
                             continue
-                        if obs is not None and future in submit_times:
+                        if obs is not None:
                             obs.metrics.observe(
                                 "shard.wall_seconds",
-                                time.monotonic() - submit_times.pop(future),
+                                time.monotonic() - submitted,
                             )
-                        done[shard.index] = measurements
-                        if on_shard is not None:
-                            on_shard(shard, measurements)
-                    while pending:
-                        submit(pending.pop(0))
+                        parts = got[shard.index]
+                        parts[part] = result
+                        if len(parts) < len(parts_of[shard.index]):
+                            continue
+                        got[shard.index] = {}
+                        try:
+                            measurements = assemble(
+                                shard.index,
+                                [
+                                    m
+                                    for _, ms in sorted(parts.items())
+                                    for m in ms
+                                ],
+                            )
+                        except Exception as exc:  # noqa: BLE001
+                            if policy is None:
+                                raise
+                            charge(shard, exc)
+                            pending.extend(parts_of[shard.index])
+                            continue
+                        finish(shard.index, measurements)
+                    submit_pending()
             except BrokenProcessPool as exc:
+                if policy is None:
+                    # No restart budget: surface the breakage in the
+                    # engine's vocabulary so the degradation ladder
+                    # applies.
+                    raise PoolBrokenError(
+                        f"process pool broke: {exc}"
+                    ) from exc
                 pool_breaks += 1
                 if report is not None:
                     report.n_pool_restarts += 1
@@ -1179,13 +1154,14 @@ class ProcessExecutor:
                         f"process pool broke {pool_breaks} times "
                         f"(max_pool_restarts={policy.max_pool_restarts})"
                     ) from exc
-                leftover = [shard for shard, _ in futures.values()]
+                inflight = [task for task, _, _ in futures.values()]
                 futures.clear()
-                for shard in leftover:
+                charged = {task[0].index: task[0] for task in inflight}
+                for shard in charged.values():
                     charge(shard, exc)
+                pending.extend(inflight)
             finally:
                 pool.shutdown(wait=not abandoned, cancel_futures=True)
-        return [done[shard.index] for shard in plan.shards]
 
 
 def _adaptive_tasks(
@@ -1236,38 +1212,6 @@ def _adaptive_tasks(
     return tasks
 
 
-def _partition_tasks(
-    tasks: Sequence[Tuple[Shard, int]], workers: int, affinity: bool
-) -> List[List[Tuple[Shard, int]]]:
-    """Pack (shard, part) tasks into at most ``workers`` chunks.
-
-    With ``affinity`` (pickle mode), consecutive tasks sharing a
-    ``group_key`` stay on one worker so it rebuilds that module once;
-    the fork mode packs each task independently.  Groups go greedily
-    to the least-loaded chunk, weighted by unit count.  Deterministic,
-    and harmless to result order (tasks carry their canonical shard
-    index and part number).
-    """
-    groups: List[List[Tuple[Shard, int]]] = []
-    for task in tasks:
-        if (
-            affinity
-            and groups
-            and groups[-1][0][0].group_key == task[0].group_key
-        ):
-            groups[-1].append(task)
-        else:
-            groups.append([task])
-    n_chunks = max(1, min(workers, len(groups)))
-    chunks: List[List[Tuple[Shard, int]]] = [[] for _ in range(n_chunks)]
-    loads = [0] * n_chunks
-    for group in groups:
-        target = loads.index(min(loads))
-        chunks[target].extend(group)
-        loads[target] += sum(len(shard.units) for shard, _ in group)
-    return [chunk for chunk in chunks if chunk]
-
-
 def _merge_by_identity(
     runner, shard: Shard, hit_results: Sequence, missing_results: Sequence
 ) -> List:
@@ -1305,37 +1249,23 @@ def _worker_module(module_key: str, config: CharacterizationConfig) -> Module:
     return module
 
 
-def _run_shard_chunk(
-    spec, shards: Tuple[Shard, ...]
-) -> List[Tuple[int, List[DieMeasurement]]]:
-    """Worker entry point: run one chunk of shards, tagged by index.
+def _run_task(
+    spec, shard: Shard, fault_plan: Optional[FaultPlan]
+) -> List[DieMeasurement]:
+    """Worker entry point: run one (shard, part) task.
 
-    ``spec`` is the runner's worker spec (e.g.
-    :class:`CharacterizationWorkerSpec`); the worker rebuilds a full
-    runner from it, so only the spec crosses the pool boundary.
-    """
-    runner = spec.build_runner()
-    return [(shard.index, runner.run(shard)) for shard in shards]
-
-
-def _run_shard_remote(
-    spec,
-    shard: Shard,
-    fault_plan: Optional[FaultPlan],
-) -> Tuple[int, List[DieMeasurement]]:
-    """Worker entry point of the resilient path: one shard per task.
-
-    Fault hooks run *inside* the worker so injected hangs and crashes
-    exercise the real failure surface (pool timeouts, BrokenProcessPool);
-    result validation stays on the parent side.
+    ``spec`` is the runner's worker spec (a fork token or e.g.
+    :class:`CharacterizationWorkerSpec`); only the spec crosses the pool
+    boundary.  Fault hooks run *inside* the worker so injected hangs and
+    crashes exercise the real failure surface (task deadlines,
+    BrokenProcessPool); result validation stays on the parent side.
     """
     if fault_plan is not None:
         fault_plan.before(shard.index)
-    runner = spec.build_runner()
-    measurements = runner.run(shard)
+    measurements = spec.build_runner().run(shard)
     if fault_plan is not None:
         measurements = fault_plan.after(shard.index, measurements)
-    return shard.index, measurements
+    return measurements
 
 
 class AutoExecutor:
@@ -1588,7 +1518,7 @@ def run_plan(
     process -> thread -> serial degradation ladder, and the final
     completeness check.  ``plan`` may be any frozen dataclass with a
     ``shards`` tuple of protocol shards (``index``/``units``/
-    ``group_key``/``label``/``obs_fields``); ``runner`` anything with
+    ``label``/``obs_fields``); ``runner`` anything with
     ``run(shard)`` and ``validate(shard, results)`` (plus a picklable
     ``spec`` for the process executor); ``codec`` a
     :class:`~repro.core.checkpoint.JournalCodec` when shard results are
@@ -1827,12 +1757,16 @@ class SweepEngine:
     the streamed-back measurements in canonical order.
 
     With a :class:`~repro.core.faults.RetryPolicy` (constructor default
-    or per-run override) shards are retried/timed out; with a
-    ``checkpoint`` path, completed shards are journaled as they finish
-    and ``resume=True`` skips journaled shards on a restart.  Repeated
-    process-pool breakage degrades the executor process -> thread ->
-    serial instead of aborting; :attr:`last_report` summarizes what
-    happened.
+    or per-run override) shards are retried and timed out; without one,
+    the first shard error propagates.  The policy is an option of each
+    executor's single dispatch path, never a switch to another
+    algorithm: a process-pool campaign runs the same cache-aware,
+    adaptively split dispatch loop either way.  With a ``checkpoint``
+    path, completed shards are journaled as they finish and
+    ``resume=True`` skips journaled shards on a restart.  Process-pool
+    breakage beyond the policy's restart budget (or any breakage,
+    without a policy) degrades the executor process -> thread -> serial
+    instead of aborting; :attr:`last_report` summarizes what happened.
     """
 
     def __init__(

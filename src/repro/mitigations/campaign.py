@@ -210,7 +210,7 @@ class MitigationShard:
     fresh chip), but keeping a series on one worker keeps the journal's
     entries aligned with the table's row groups.  Implements the shard
     protocol of :mod:`repro.core.engine` (``index``/``units`` plus
-    ``group_key``/``label``/``obs_fields``).
+    ``label``/``obs_fields``).
     """
 
     index: int
@@ -218,11 +218,6 @@ class MitigationShard:
     mitigation: str
     pattern: AccessPattern
     units: Tuple[MitigationWorkUnit, ...]
-
-    @property
-    def group_key(self) -> str:
-        """Chunking affinity: series of one chip stay on one worker."""
-        return self.chip_key
 
     @property
     def label(self) -> str:

@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.atomicio import atomic_write_text, write_digest
-from repro.core.checkpoint import AdvisoryLock
+from repro.core.checkpoint import AdvisoryLock, parse_journal
 from repro.errors import (
     ArtifactCorruptError,
     CheckpointError,
@@ -235,7 +235,7 @@ class QueueJournal:
                 raise CheckpointError(str(exc)) from exc
             if note:
                 logger.warning("queue journal %s: %s", self._path, note)
-        parsed = self._parse(raw)
+        parsed = parse_journal(self._path, raw, "queue journal", logger)
         if not parsed:
             raise CheckpointError(f"queue journal {self._path} is empty")
         header = parsed[0]
@@ -311,44 +311,6 @@ class QueueJournal:
         self._hash = hashlib.sha256(self._path.read_bytes())
         write_digest(self._path, self._hash.hexdigest())
         return jobs, sealed
-
-    def _parse(self, raw: bytes) -> List[dict]:
-        """Parse the journal's lines, repairing a torn trailing line."""
-        segments = raw.split(b"\n")
-        lines = [
-            (position, segment)
-            for position, segment in enumerate(segments)
-            if segment.strip()
-        ]
-        parsed: List[dict] = []
-        for ordinal, (position, segment) in enumerate(lines):
-            try:
-                parsed.append(json.loads(segment.decode("utf-8")))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                last = ordinal == len(lines) - 1
-                if last and ordinal > 0:
-                    logger.warning(
-                        "queue journal %s has a torn trailing line (%s); "
-                        "dropping it and replaying the intact prefix",
-                        self._path,
-                        str(exc),
-                    )
-                    self._truncate_to(segments, position)
-                    break
-                raise CheckpointError(
-                    f"queue journal {self._path} is malformed: {exc}"
-                ) from exc
-        return parsed
-
-    def _truncate_to(self, segments: List[bytes], position: int) -> None:
-        keep = sum(len(segment) + 1 for segment in segments[:position])
-        try:
-            with open(self._path, "r+b") as handle:
-                handle.truncate(keep)
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot repair torn queue journal {self._path}: {exc}"
-            ) from exc
 
 
 class JobQueue:

@@ -5,8 +5,8 @@ from the platform: fork inheritance (a registry token crosses the pool)
 or the pickled rebuild spec.  On top of the engine's bit-identity
 guarantee that leaves two obligations:
 
-* both share modes produce the serial campaign bit-for-bit, on the
-  adaptive fast path and on the resilient (retrying) dispatch loop;
+* both share modes produce the serial campaign bit-for-bit, with and
+  without a retry policy (one dispatch loop serves both);
 * the auto executor never picks a pool that cannot pay for itself (one
   core, fully memoized plans, trivially small campaigns).
 
@@ -79,8 +79,9 @@ def test_fork_state_round_trip():
         ("fork", None),
         ("pickle", None),
         ("pickle", RetryPolicy(max_retries=1, backoff_base=0.0)),
+        ("fork", RetryPolicy(max_retries=1, backoff_base=0.0)),
     ],
-    ids=["fork", "pickle", "pickle-resilient"],
+    ids=["fork", "pickle", "pickle-resilient", "fork-resilient"],
 )
 def test_pool_modes_bit_identical(
     fast_config, s0_module, serial_baseline, monkeypatch, mode, policy
@@ -104,6 +105,30 @@ def test_pool_modes_bit_identical(
     assert list(results) == list(serial_baseline)
     assert modes == [mode]
     assert live_fork_tokens() == ()
+
+
+def test_memoized_plan_under_retry_policy_starts_no_pool(
+    fast_config, s0_module, serial_baseline, monkeypatch
+):
+    """A retry policy selects no other algorithm: with every unit in the
+    measurement cache the pool is never started, policy or not."""
+    cache = {}
+    SweepEngine(fast_config).run(
+        [s0_module], T_VALUES, ALL_PATTERNS, trials=2,
+        measurement_cache=cache,
+    )
+
+    def no_pool(runner, obs):
+        raise AssertionError("a fully memoized plan must not start a pool")
+
+    monkeypatch.setattr(
+        ProcessExecutor, "_worker_state", staticmethod(no_pool)
+    )
+    _, results = _run(
+        fast_config, [s0_module], ProcessExecutor(2),
+        policy=RetryPolicy(), measurement_cache=cache,
+    )
+    assert list(results) == list(serial_baseline)
 
 
 # ------------------------------------------------------- auto executor

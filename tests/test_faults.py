@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import engine as engine_mod
 from repro.core.checkpoint import CheckpointJournal, plan_fingerprint
 from repro.core.engine import (
     ProcessExecutor,
@@ -247,6 +248,32 @@ def test_worker_crash_recovery(fast_config, s0_module, baseline, tmp_path):
     assert list(results) == list(baseline)
     assert engine.last_report.n_pool_restarts >= 1
     assert engine.last_report.degradations == []
+
+
+def test_fault_on_split_shard_counts_whole_shard_attempts(
+    fast_config, s0_module, tmp_path
+):
+    """Straggler splitting does not multiply fault attempts: the hooks
+    travel with one part per shard, so ``times=1`` costs one retry."""
+    dies = [0, 1]
+    plan = SweepPlan.build([s0_module], T_VALUES, ALL_PATTERNS, dies=dies)
+    tasks = engine_mod._adaptive_tasks(plan.shards, 2, None)
+    assert len(tasks) > len(plan.shards)  # the plan really splits
+    _, expected = _run(fast_config, [s0_module], dies=dies)
+    fault = FaultPlan(
+        [FaultSpec(shard_index=0, kind="raise", times=1)],
+        state_dir=tmp_path,
+    )
+    engine, results = _run(
+        fast_config,
+        [s0_module],
+        executor=ProcessExecutor(workers=2),
+        policy=FAST_POLICY,
+        fault_plan=fault,
+        dies=dies,
+    )
+    assert list(results) == list(expected)
+    assert engine.last_report.n_retries == 1
 
 
 def test_repeated_pool_breakage_degrades_to_thread(
